@@ -1,4 +1,4 @@
-// Benchmarks, one per experiment family of DESIGN.md's index. They
+// Benchmarks, one per experiment family of cmd/benchtab's -exp list. They
 // measure the generators behind each reproduced figure/table (construction,
 // scheme generation, validation, search) and report the headline
 // combinatorial quantity of the experiment via b.ReportMetric so the bench
@@ -179,7 +179,7 @@ func BenchmarkThm4ValidateN20(b *testing.B) {
 }
 
 // EXP-THM4 streaming validator: the same fixed schedule through
-// ValidateStream's bit-set engine.
+// ValidateStream's slotted engine (the cube's closed-form edge slots).
 func BenchmarkThm4StreamValidateN20(b *testing.B) {
 	s, err := core.NewAuto(2, 20)
 	if err != nil {

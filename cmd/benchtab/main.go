@@ -54,7 +54,8 @@
 //	                   # under -exp all; the curve defaults to
 //	                   # BENCH_csr.json)
 //
-// Experiment ids match DESIGN.md's per-experiment index.
+// Experiment ids are the -exp list above; each names one Run* function
+// of internal/analysis.
 package main
 
 import (

@@ -1,8 +1,8 @@
 // Package analysis regenerates every evaluation artifact of the paper —
 // Figures 1–5, Examples 1–6, and the bound tables behind Theorems 1–7,
 // Lemmas 1–2 and Corollaries 1–2 — as machine-checked tables. Each
-// Run* function corresponds to one experiment id in DESIGN.md and is
-// surfaced through cmd/benchtab.
+// Run* function corresponds to one experiment id of cmd/benchtab's -exp
+// list, which surfaces it.
 package analysis
 
 import (

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/labeling"
+	"sparsehypercube/internal/linecomm"
 )
 
 // SparseHypercube is the graph produced by the paper's Construct
@@ -270,22 +272,35 @@ func (s *SparseHypercube) hasEdgeDim(u uint64, d int) bool {
 	return ld.lab.Label(ld.windowValue(u)) == int(s.dimClass[d])
 }
 
+// The construction is a spanning subgraph of Q_n, so every edge flips
+// exactly one address bit and owns the closed-form slot
+// min(u, v)*n + (dim-1): the hypercube arc label, which lets the
+// streaming validators index per-edge state without a lookup table.
+var _ linecomm.SlottedNetwork = (*SparseHypercube)(nil)
+
 // HasEdge implements linecomm.Network: u ~ v iff they differ in exactly
 // one bit whose dimension edge is present at u.
 func (s *SparseHypercube) HasEdge(u, v uint64) bool {
-	if u >= s.Order() || v >= s.Order() {
-		return false
-	}
+	_, ok := s.EdgeSlot(u, v)
+	return ok
+}
+
+// NumEdgeSlots implements linecomm.SlottedNetwork: order*n, one slot per
+// (lower endpoint, dimension) pair whether or not the edge is present.
+func (s *SparseHypercube) NumEdgeSlots() int { return int(s.Order()) * s.n }
+
+// EdgeSlot implements linecomm.SlottedNetwork: the slot of edge {u, v}
+// is min(u, v)*n + (dim-1), and ok is false exactly when HasEdge is.
+func (s *SparseHypercube) EdgeSlot(u, v uint64) (int, bool) {
 	x := u ^ v
-	if x == 0 || x&(x-1) != 0 {
-		return false
+	if u >= s.Order() || v >= s.Order() || x == 0 || x&(x-1) != 0 {
+		return 0, false
 	}
-	d := 1
-	for x>>1 != 0 {
-		x >>= 1
-		d++
+	d := bits.TrailingZeros64(x)
+	if !s.hasEdgeDim(u, d+1) {
+		return 0, false
 	}
-	return s.HasEdgeDim(u, d)
+	return int(min(u, v))*s.n + d, true
 }
 
 // Neighbors returns the sorted adjacency of u.

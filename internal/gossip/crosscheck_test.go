@@ -13,11 +13,11 @@ import (
 // broadcast crosschecks: for k in {1, 2, 3}, ValidateStream must produce
 // byte-identical Results to the serial Validate on intact, mutated and
 // randomly corrupted gather-scatter schedules, on both structural engines
-// (the bitvec fast path the sparse hypercube's DimensionedNetwork
-// contract enables, and the map fallback).
+// (the slotted engine, fed the sparse hypercube's closed-form edge slots,
+// and the map fallback).
 
-// plainNet strips the DimensionedNetwork upgrade so the same instance
-// routes to the map engine.
+// plainNet hides the cube's slot numbering so the same instance routes
+// to the map engine.
 type plainNet struct{ net linecomm.Network }
 
 func (p plainNet) Order() uint64            { return p.net.Order() }
@@ -47,7 +47,7 @@ func crosscheckCases(t *testing.T) []*core.SparseHypercube {
 func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *linecomm.Schedule) {
 	t.Helper()
 	want := Validate(s, k, sched)
-	for name, net := range map[string]linecomm.Network{"bitvec": s, "map": plainNet{s}} {
+	for name, net := range map[string]linecomm.Network{"slotted": s, "map": plainNet{s}} {
 		got := linecomm.ValidateGossipStream(net, k, sched.Stream())
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s engine diverges from serial:\nserial: %+v\nstream: %+v", name, want, got)

@@ -4,67 +4,46 @@ import (
 	"sparsehypercube/internal/bitvec"
 )
 
-// This file is the CSR engine of the streaming validators: the general-
-// graph counterpart of the bitvecState/gossipBitvecState fast paths.
-// Where the dimensioned engine derives an edge slot from the hypercube
-// address structure (vertex*n + flipped bit), the CSR engine asks the
-// network for one (SlottedNetwork.EdgeSlot, backed by the graph's CSR
-// arrays) and indexes every per-round disjointness set by that dense
-// id: flat bitvec storage for receivers and callers, small per-slot
-// counters for edges and receivers so generalised capacities
-// (Options.EdgeCapacity/ReceiverCapacity > 1) ride the same flat
-// storage instead of falling back to hash maps. Touched slots are
-// recorded and cleared between rounds, so the whole engine allocates
-// once per validation run and nothing per round.
+// This file is the slotted engine of the streaming validators, the flat
+// half of their two disjointness engines. It runs on any network that
+// numbers its edges (SlottedNetwork): materialised graphs, whose CSR
+// arrays give a dense numbering, and the sparse hypercube, whose edges
+// each flip one address bit and so own the closed-form slot
+// lower*n + dim. The fill phase resolves each hop's slot once — EdgeSlot
+// doubles as the edge-existence check — and the merge phase indexes
+// every per-round disjointness set by slot or vertex id: flat bit sets,
+// with touched slots recorded and cleared between rounds, so the engine
+// allocates once per validation run and nothing per round.
 //
-// mapState stays as the reference engine — it is what the differential
-// suite crosschecks csrState against, and the fallback for networks
-// that carry no slot numbering or exceed the size caps.
+// The engine covers Definition 1's capacities (one call per edge and per
+// receiver). mapState (stream.go) is the other engine: the reference the
+// differential suites crosscheck this one against, and the fallback for
+// networks without a slot numbering, universes beyond maxStreamBits and
+// generalised capacities.
 
-// maxCSRSlots caps the vertex and edge-slot universes of the CSR
-// engine. Counters are 4 bytes per slot (the bit-set engine's universes
-// are 1 bit), so the cap is maxStreamBits/32: the same 256 MiB
-// worst-case footprint per array, admitting graphs up to 2^26 vertices
-// and 2^26 edges — the million-vertex regime with room to spare.
-const maxCSRSlots = maxStreamBits / 32
-
-// slottedFor reports whether net can drive the CSR engine: it must
-// carry a slot numbering and fit the size caps.
+// slottedFor reports whether net can drive the slotted engines: it must
+// carry a slot numbering, and both its vertex and slot universes must
+// fit maxStreamBits (so every id also fits the engines' int32 lists).
 func slottedFor(net Network, order uint64) (SlottedNetwork, bool) {
 	sn, ok := net.(SlottedNetwork)
-	if !ok {
-		return nil, false
-	}
-	if order > maxCSRSlots || sn.NumEdgeSlots() > maxCSRSlots {
+	if !ok || order > maxStreamBits || uint64(sn.NumEdgeSlots()) > maxStreamBits {
 		return nil, false
 	}
 	return sn, true
 }
 
-// csrState is the slot-indexed round state for arbitrary graphs: the
-// disjointness engine of ValidateStream on any SlottedNetwork,
-// generalised capacities included. Under the default capacity-1 model
-// edge and receiver uses are used/dup bit-set pairs (two bits per slot,
-// cache-resident even for million-edge graphs; the dup shadow
-// reproduces mapState's report-once-at-capacity+1 contract), and under
-// generalised capacities they are per-slot counters with the same
-// contract. Callers are a bit set with the report-once recovery scan
-// the bitvec engine uses.
+// csrState is the slotted round state of ValidateStream under
+// Definition 1. Edge and receiver uses are used/dup bit-set pairs (the
+// dup shadow reproduces mapState's report-once-at-capacity+1 contract);
+// callers are a bit set whose duplicate index is recovered by a scan of
+// the registered claims.
 type csrState struct {
-	net   SlottedNetwork
-	opts  Options
 	count uint64
 
-	informed *bitvec.Set // order bits
-
-	// Capacity-1 storage (nil when the capacity is generalised).
+	informed          *bitvec.Set // order bits
 	edgeUsed, edgeDup *bitvec.Set // NumEdgeSlots bits each
 	recvUsed, recvDup *bitvec.Set // order bits each
-	// Generalised-capacity storage (nil under capacity 1).
-	edgeCnt []int32 // NumEdgeSlots counters
-	recvCnt []int32 // order counters
-
-	callerUsed *bitvec.Set // order bits
+	callerUsed        *bitvec.Set // order bits
 
 	round          Round
 	claimed        []int // call indices that registered a caller, in order
@@ -74,25 +53,15 @@ type csrState struct {
 	newly          []uint64
 }
 
-func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrState {
+func newCSRState(sn SlottedNetwork, order, source uint64) *csrState {
 	st := &csrState{
-		net:        sn,
-		opts:       opts,
 		count:      1,
 		informed:   bitvec.New(int(order)),
+		edgeUsed:   bitvec.New(sn.NumEdgeSlots()),
+		edgeDup:    bitvec.New(sn.NumEdgeSlots()),
+		recvUsed:   bitvec.New(int(order)),
+		recvDup:    bitvec.New(int(order)),
 		callerUsed: bitvec.New(int(order)),
-	}
-	if opts.EdgeCapacity == 1 {
-		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
-		st.edgeDup = bitvec.New(sn.NumEdgeSlots())
-	} else {
-		st.edgeCnt = make([]int32, sn.NumEdgeSlots())
-	}
-	if opts.ReceiverCapacity == 1 {
-		st.recvUsed = bitvec.New(int(order))
-		st.recvDup = bitvec.New(int(order))
-	} else {
-		st.recvCnt = make([]int32, int(order))
 	}
 	st.informed.Set(int(source))
 	return st
@@ -126,51 +95,20 @@ func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	return 0, true // unreachable: a set caller bit implies a claim
 }
 
-// slottedNet and edgeUseSlot opt csrState into the validator's
-// slot-indexed fast path: the fill phase resolves each hop's slot via
-// EdgeSlot (which doubles as the edge check) and the merge phase feeds
-// it to edgeUseSlot, so no hop is searched twice.
-func (c *csrState) slottedNet() SlottedNetwork { return c.net }
-
-func (c *csrState) edgeUseSlot(slot int) bool {
-	if c.edgeUsed != nil {
-		if !c.edgeUsed.TestAndSet(slot) {
-			c.touchedEdges = append(c.touchedEdges, int32(slot))
-			return false
-		}
-		return !c.edgeDup.TestAndSet(slot)
-	}
-	c.edgeCnt[slot]++
-	if c.edgeCnt[slot] == 1 {
-		c.touchedEdges = append(c.touchedEdges, int32(slot))
-	}
-	return int(c.edgeCnt[slot]) == c.opts.EdgeCapacity+1
-}
-
-func (c *csrState) edgeUse(u, v uint64) bool {
-	// Interface completeness: the validator prefers edgeUseSlot, but any
-	// caller without a resolved slot (only stageFull hops reach here, so
-	// EdgeSlot succeeds by the SlottedNetwork contract) still works.
-	slot, ok := c.net.EdgeSlot(u, v)
-	if !ok {
+func (c *csrState) hopUse(_, _ uint64, slot int32) bool {
+	if !c.edgeUsed.TestAndSet(int(slot)) {
+		c.touchedEdges = append(c.touchedEdges, slot)
 		return false
 	}
-	return c.edgeUseSlot(slot)
+	return !c.edgeDup.TestAndSet(int(slot))
 }
 
 func (c *csrState) recvUse(v uint64) bool {
-	if c.recvUsed != nil {
-		if !c.recvUsed.TestAndSet(int(v)) {
-			c.touchedRecvs = append(c.touchedRecvs, int32(v))
-			return false
-		}
-		return !c.recvDup.TestAndSet(int(v))
-	}
-	c.recvCnt[v]++
-	if c.recvCnt[v] == 1 {
+	if !c.recvUsed.TestAndSet(int(v)) {
 		c.touchedRecvs = append(c.touchedRecvs, int32(v))
+		return false
 	}
-	return int(c.recvCnt[v]) == c.opts.ReceiverCapacity+1
+	return !c.recvDup.TestAndSet(int(v))
 }
 
 func (c *csrState) inform(v uint64) { c.newly = append(c.newly, v) }
@@ -181,25 +119,13 @@ func (c *csrState) endRound() uint64 {
 			c.count++
 		}
 	}
-	if c.edgeUsed != nil {
-		for _, s := range c.touchedEdges {
-			c.edgeUsed.Clear(int(s))
-			c.edgeDup.Clear(int(s))
-		}
-	} else {
-		for _, s := range c.touchedEdges {
-			c.edgeCnt[s] = 0
-		}
+	for _, s := range c.touchedEdges {
+		c.edgeUsed.Clear(int(s))
+		c.edgeDup.Clear(int(s))
 	}
-	if c.recvUsed != nil {
-		for _, s := range c.touchedRecvs {
-			c.recvUsed.Clear(int(s))
-			c.recvDup.Clear(int(s))
-		}
-	} else {
-		for _, s := range c.touchedRecvs {
-			c.recvCnt[s] = 0
-		}
+	for _, s := range c.touchedRecvs {
+		c.recvUsed.Clear(int(s))
+		c.recvDup.Clear(int(s))
 	}
 	for _, s := range c.touchedCallers {
 		c.callerUsed.Clear(int(s))
@@ -215,25 +141,22 @@ func (c *csrState) endRound() uint64 {
 
 func (c *csrState) informedCount() uint64 { return c.count }
 
-// gossipCsrState is the slot-indexed telephone-model round state: the
-// general-graph analogue of gossipBitvecState. Gossip reports every
-// edge reuse (not just the first), so a plain bit per slot suffices;
-// endpoint occupancy is a bit per vertex with the same first-claim
-// recovery scan.
+// gossipCsrState is the slotted telephone-model round state. Gossip
+// reports every edge reuse (not just the first), so a plain bit per slot
+// suffices; endpoint occupancy is a bit per vertex with the same
+// first-claim recovery scan.
 type gossipCsrState struct {
-	net      SlottedNetwork
 	edgeUsed *bitvec.Set // NumEdgeSlots bits
 	busyUsed *bitvec.Set // order bits
 
 	round        Round
 	claimed      []int // calls that registered at least one endpoint, ascending
-	touchedEdges []int
-	touchedBusy  []int
+	touchedEdges []int32
+	touchedBusy  []int32
 }
 
 func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
 	return &gossipCsrState{
-		net:      sn,
 		edgeUsed: bitvec.New(sn.NumEdgeSlots()),
 		busyUsed: bitvec.New(int(order)),
 	}
@@ -243,7 +166,7 @@ func (g *gossipCsrState) beginRound(r Round) { g.round = r }
 
 func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	if !g.busyUsed.TestAndSet(int(v)) {
-		g.touchedBusy = append(g.touchedBusy, int(v))
+		g.touchedBusy = append(g.touchedBusy, int32(v))
 		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
 			g.claimed = append(g.claimed, ci)
 		}
@@ -251,6 +174,8 @@ func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	}
 	// Duplicate: recover the first occupying call by scanning the calls
 	// that registered endpoints, in order (rare — only on a violation).
+	// The first claimed call whose endpoint matches v is the occupier: any
+	// non-claiming match would itself have been preceded by the claimer.
 	for _, idx := range g.claimed {
 		if c := g.round[idx]; c.From() == v || c.To() == v {
 			return idx, true
@@ -259,12 +184,8 @@ func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	return 0, true // unreachable: a set busy bit implies a registered claim
 }
 
-func (g *gossipCsrState) edgeUse(u, v uint64) bool {
-	slot, ok := g.net.EdgeSlot(u, v)
-	if !ok {
-		return false
-	}
-	if !g.edgeUsed.TestAndSet(slot) {
+func (g *gossipCsrState) hopUse(_, _ uint64, slot int32) bool {
+	if !g.edgeUsed.TestAndSet(int(slot)) {
 		g.touchedEdges = append(g.touchedEdges, slot)
 		return false
 	}
@@ -273,10 +194,10 @@ func (g *gossipCsrState) edgeUse(u, v uint64) bool {
 
 func (g *gossipCsrState) endRound() {
 	for _, s := range g.touchedEdges {
-		g.edgeUsed.Clear(s)
+		g.edgeUsed.Clear(int(s))
 	}
 	for _, s := range g.touchedBusy {
-		g.busyUsed.Clear(s)
+		g.busyUsed.Clear(int(s))
 	}
 	g.touchedEdges = g.touchedEdges[:0]
 	g.touchedBusy = g.touchedBusy[:0]

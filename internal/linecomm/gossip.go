@@ -79,21 +79,41 @@ const (
 	gossipFull
 )
 
-// checkGossipCall runs the per-call structural section shared by the
-// serial and streaming gossip validators: path shape, vertex range,
-// repeated vertices, edge existence and the length bound, in exactly that
-// order. Cross-call checks (busy endpoints, edge reuse) are the caller's
-// job and apply only to gossipFull calls.
-func checkGossipCall(net Network, k int, order uint64, ri, ci int, call Call, out []Violation) (uint8, []Violation) {
+// gossipChecker is the per-call structural section shared by the serial
+// and streaming gossip validators. Its check runs path shape, vertex
+// range, repeated vertices, edge existence and the length bound, in
+// exactly that order. Cross-call checks (busy endpoints, edge reuse) are
+// the caller's job and apply only to gossipFull calls.
+type gossipChecker struct {
+	net   Network
+	sn    SlottedNetwork // when set, EdgeSlot is the edge check
+	k     int
+	order uint64
+	// slots holds the last checked call's hop slots, one per hop, as
+	// resolved by sn (kept only with sn) — the streaming validator hands
+	// them to its slotted engine, so no hop is looked up twice.
+	slots []int32
+}
+
+// slot returns hop i's resolved slot from the last check, or 0 without
+// a slot numbering (the map engine ignores it).
+func (g *gossipChecker) slot(i int) int32 {
+	if g.sn == nil {
+		return 0
+	}
+	return g.slots[i]
+}
+
+func (g *gossipChecker) check(ri, ci int, call Call, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return gossipSkip, append(out, Violation{ri, ci, PathInvalid,
 			fmt.Sprintf("path has %d vertices", len(call.Path))})
 	}
 	bad := false
 	for _, v := range call.Path {
-		if v >= order {
+		if v >= g.order {
 			out = append(out, Violation{ri, ci, VertexOutOfRange,
-				fmt.Sprintf("vertex %d outside [0,%d)", v, order)})
+				fmt.Sprintf("vertex %d outside [0,%d)", v, g.order)})
 			bad = true
 		}
 	}
@@ -101,16 +121,25 @@ func checkGossipCall(net Network, k int, order uint64, ri, ci int, call Call, ou
 		return gossipSkip, out
 	}
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
+	g.slots = g.slots[:0]
 	for i := 1; i < len(call.Path); i++ {
-		if !net.HasEdge(call.Path[i-1], call.Path[i]) {
-			out = append(out, Violation{ri, ci, PathInvalid,
-				fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
+		a, b := call.Path[i-1], call.Path[i]
+		var ok bool
+		if g.sn != nil {
+			var s int
+			s, ok = g.sn.EdgeSlot(a, b)
+			g.slots = append(g.slots, int32(s))
+		} else {
+			ok = g.net.HasEdge(a, b)
+		}
+		if !ok {
+			out = append(out, Violation{ri, ci, PathInvalid, fmt.Sprintf("no edge {%d,%d}", a, b)})
 			bad = true
 		}
 	}
-	if call.Length() > k {
+	if call.Length() > g.k {
 		out = append(out, Violation{ri, ci, PathTooLong,
-			fmt.Sprintf("length %d > k = %d", call.Length(), k)})
+			fmt.Sprintf("length %d > k = %d", call.Length(), g.k)})
 	}
 	if bad {
 		return gossipBad, out
@@ -145,6 +174,7 @@ func ValidateGossip(net Network, k int, s *Schedule) *GossipResult {
 	// valid schedule validates at O(order) total allocations (the token
 	// matrix), independent of round and call counts.
 	var (
+		chk      = gossipChecker{net: net, k: k, order: order}
 		usedEdge = make(map[edgeKey]bool)
 		busy     = make(map[uint64]int)
 		merges   []uint64 // flat (from, to) pairs of the current round
@@ -155,7 +185,7 @@ func ValidateGossip(net Network, k int, s *Schedule) *GossipResult {
 		merges = merges[:0]
 		for ci, call := range round {
 			var stage uint8
-			stage, res.Violations = checkGossipCall(net, k, order, ri, ci, call, res.Violations)
+			stage, res.Violations = chk.check(ri, ci, call, res.Violations)
 			if stage == gossipSkip {
 				continue
 			}

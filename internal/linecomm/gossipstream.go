@@ -7,19 +7,18 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"sparsehypercube/internal/bitvec"
 )
 
 // This file is the streaming half of the gossip validator:
 // ValidateGossipStream consumes rounds as a producer
 // (core.ScheduleGossipRounds, a schedio decoder, a network feed) emits
 // them, so the doubled gather-scatter schedule is never materialised. Per
-// round it runs the structural checks of checkGossipCall plus the
-// cross-call disjointness checks on flat bitvec-backed sets (hypercube
-// family), slot-indexed bit sets (any SlottedNetwork — see csr.go), or
-// per-round maps (everything else), retaining only the (from, to)
-// exchange pairs — two words per call instead of the full paths.
+// round it runs the structural checks of gossipChecker plus the
+// cross-call disjointness checks on one of two engines: slotted bit sets
+// fed the hop slots the structural check resolved (any SlottedNetwork,
+// the sparse hypercube included — see csr.go), or per-round maps
+// (everything else). It retains only the (from, to) exchange pairs —
+// two words per call instead of the full paths.
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
 // a full token matrix is order^2 bits (128 GiB at n = 20). The streamed
@@ -92,12 +91,10 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 		})
 	}
 
+	chk := gossipChecker{net: net, k: k, order: order}
 	var st gossipRoundState
-	if dn, ok := net.(DimensionedNetwork); ok &&
-		dn.N() >= 1 && order <= maxStreamBits/uint64(dn.N()) &&
-		order <= uint64(1)<<uint(dn.N()) {
-		st = newGossipBitvecState(order, dn.N())
-	} else if sn, ok := slottedFor(net, order); ok {
+	if sn, ok := slottedFor(net, order); ok {
+		chk.sn = sn
 		st = newGossipCSRState(sn, order)
 	} else {
 		st = newGossipMapState()
@@ -109,7 +106,7 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 		st.beginRound(round)
 		for ci, call := range round {
 			var stage uint8
-			stage, res.Violations = checkGossipCall(net, k, order, nRounds, ci, call, res.Violations)
+			stage, res.Violations = chk.check(nRounds, ci, call, res.Violations)
 			if stage == gossipSkip {
 				continue
 			}
@@ -131,7 +128,7 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 				if a > b {
 					a, b = b, a
 				}
-				if st.edgeUse(a, b) {
+				if st.hopUse(a, b, chk.slot(i-1)) {
 					res.Violations = append(res.Violations, Violation{nRounds, ci, EdgeConflict,
 						fmt.Sprintf("edge {%d,%d} reused", a, b)})
 				}
@@ -197,15 +194,16 @@ func countGossipTokens(res *GossipResult, order uint64, sources []uint64) (int, 
 // no caller-knowledge rule.
 type gossipRoundState interface {
 	// beginRound resets per-round tracking; r is retained until endRound
-	// (the bit-set engine scans it to recover first-claim call indices).
+	// (the slotted engine scans it to recover first-claim call indices).
 	beginRound(r Round)
 	// busyClaim registers call ci as occupying endpoint v. When v is
 	// already busy this round it reports the occupying call's index.
 	busyClaim(v uint64, ci int) (prev int, dup bool)
-	// edgeUse registers one use of edge {u,v} (u <= v canonical) and
+	// hopUse registers one use of edge {u,v} (u <= v canonical), whose
+	// slot the structural check resolved (zero on the map engine), and
 	// reports whether the edge was already used this round. Gossip
 	// reports every reuse, not just the first.
-	edgeUse(u, v uint64) bool
+	hopUse(u, v uint64, slot int32) bool
 	endRound()
 }
 
@@ -233,7 +231,7 @@ func (g *gossipMapState) busyClaim(v uint64, ci int) (int, bool) {
 	return 0, false
 }
 
-func (g *gossipMapState) edgeUse(u, v uint64) bool {
+func (g *gossipMapState) hopUse(u, v uint64, _ int32) bool {
 	e := edgeKey{u, v}
 	used := g.edges[e]
 	g.edges[e] = true
@@ -241,74 +239,6 @@ func (g *gossipMapState) edgeUse(u, v uint64) bool {
 }
 
 func (g *gossipMapState) endRound() {}
-
-// gossipBitvecState is the hypercube-family fast path (DimensionedNetwork
-// contract: every edge flips exactly one address bit): edge slots indexed
-// vertex*n + dim and endpoint occupancy by vertex, all flat bit tests.
-// Touched slots are recorded and cleared between rounds, so the sets are
-// allocated once per validation run.
-type gossipBitvecState struct {
-	n        int
-	edgeUsed *bitvec.Set // order*n bits
-	busyUsed *bitvec.Set // order bits
-
-	round        Round
-	claimed      []int // calls that registered at least one endpoint, ascending
-	touchedEdges []int
-	touchedBusy  []int
-}
-
-func newGossipBitvecState(order uint64, n int) *gossipBitvecState {
-	return &gossipBitvecState{
-		n:        n,
-		edgeUsed: bitvec.New(int(order) * n),
-		busyUsed: bitvec.New(int(order)),
-	}
-}
-
-func (g *gossipBitvecState) beginRound(r Round) { g.round = r }
-
-func (g *gossipBitvecState) busyClaim(v uint64, ci int) (int, bool) {
-	if !g.busyUsed.TestAndSet(int(v)) {
-		g.touchedBusy = append(g.touchedBusy, int(v))
-		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
-			g.claimed = append(g.claimed, ci)
-		}
-		return 0, false
-	}
-	// Duplicate: recover the first occupying call by scanning the calls
-	// that registered endpoints, in order (rare — only on a violation).
-	// The first claimed call whose endpoint matches v is the occupier: any
-	// non-claiming match would itself have been preceded by the claimer.
-	for _, idx := range g.claimed {
-		if c := g.round[idx]; c.From() == v || c.To() == v {
-			return idx, true
-		}
-	}
-	return 0, true // unreachable: a set busy bit implies a registered claim
-}
-
-func (g *gossipBitvecState) edgeUse(u, v uint64) bool {
-	slot := int(u)*g.n + bits.TrailingZeros64(u^v)
-	if !g.edgeUsed.TestAndSet(slot) {
-		g.touchedEdges = append(g.touchedEdges, slot)
-		return false
-	}
-	return true
-}
-
-func (g *gossipBitvecState) endRound() {
-	for _, s := range g.touchedEdges {
-		g.edgeUsed.Clear(s)
-	}
-	for _, s := range g.touchedBusy {
-		g.busyUsed.Clear(s)
-	}
-	g.touchedEdges = g.touchedEdges[:0]
-	g.touchedBusy = g.touchedBusy[:0]
-	g.claimed = g.claimed[:0]
-	g.round = nil
-}
 
 // simulateGossipTokens replays the exchange log over the token matrix,
 // sharded along the token axis, and returns the per-vertex known-token

@@ -148,15 +148,14 @@ func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, star
 		})
 		return res
 	}
-	st := newRoundState(net, order, source, opts)
-	st.seedInformed(seed)
-	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res, fillShards: fillShards}
+	v := newStreamValidator(net, k, order, source, opts, res, fillShards)
+	v.st.seedInformed(seed)
 	ri := startRound
 	for round := range rounds {
 		v.validateRound(ri, round)
 		ri++
 	}
-	res.Informed = st.informedCount()
+	res.Informed = v.st.informedCount()
 	return res
 }
 

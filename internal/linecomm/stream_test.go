@@ -1,6 +1,7 @@
 package linecomm
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -9,20 +10,28 @@ import (
 	"sparsehypercube/internal/topo"
 )
 
-// dimNet upgrades a hypercube GraphNetwork to a DimensionedNetwork so
-// tests can exercise the validator's bit-set engine (Q_n satisfies the
-// one-bit-per-edge contract).
-type dimNet struct {
+// cubeNet gives a materialised Q_n the sparse hypercube's closed-form
+// slot numbering — lower endpoint * n + flipped bit, a universe of
+// order * n slots with gaps — so the slotted engine runs on the same
+// non-dense numbering it meets on core.SparseHypercube.
+type cubeNet struct {
 	GraphNetwork
 	n int
 }
 
-func (d dimNet) N() int { return d.n }
+func (c cubeNet) NumEdgeSlots() int { return int(c.Order()) * c.n }
+
+func (c cubeNet) EdgeSlot(u, v uint64) (int, bool) {
+	if !c.HasEdge(u, v) {
+		return 0, false
+	}
+	return int(min(u, v))*c.n + bits.TrailingZeros64(u^v), true
+}
 
 // plainNet strips a GraphNetwork down to the bare Network interface so
 // the validator cannot see its slot numbering and falls back to the map
 // engine. Tests use it to keep mapState covered now that a bare
-// GraphNetwork routes to the CSR engine.
+// GraphNetwork routes to the slotted engine.
 type plainNet struct {
 	g GraphNetwork
 }
@@ -30,12 +39,12 @@ type plainNet struct {
 func (p plainNet) Order() uint64            { return p.g.Order() }
 func (p plainNet) HasEdge(u, v uint64) bool { return p.g.HasEdge(u, v) }
 
-// engines returns the same Q_n network three times, one per
-// disjointness engine: wrapped so only the map engine applies, bare so
-// the CSR engine applies, and dimensioned for the bit-set engine.
+// engines returns the same Q_n network three times: wrapped so only the
+// map engine applies, bare so the slotted engine runs on the graph's
+// dense CSR slots, and with the cube's closed-form slots.
 func engines(n int) map[string]Network {
 	g := GraphNetwork{G: topo.Hypercube(n)}
-	return map[string]Network{"map": plainNet{g}, "csr": g, "bitvec": dimNet{g, n}}
+	return map[string]Network{"map": plainNet{g}, "csr": g, "cube": cubeNet{g, n}}
 }
 
 // mustMatchSerial asserts that the streaming validator reproduces the
@@ -172,15 +181,18 @@ func last(p []uint64) (uint64, bool) {
 	return p[len(p)-1], true
 }
 
-// TestValidateStreamInconsistentWidthFallsBack wraps Q_n with a lying
-// address width (Order > 1<<N). The engine selection must reject the
-// contract violation and fall back (to the CSR engine, since the
-// underlying GraphNetwork still carries a valid slot numbering), so the
-// Result still matches serial instead of aliasing edge slots.
+// TestValidateStreamInconsistentWidthFallsBack gives Q_n's closed-form
+// numbering an address width far beyond n, so the (still injective)
+// slot universe exceeds maxStreamBits. The engine selection must turn
+// it down and fall back to the map engine, so the Result still matches
+// serial instead of allocating or overflowing the slot lists.
 func TestValidateStreamInconsistentWidthFallsBack(t *testing.T) {
 	const n = 6
 	g := GraphNetwork{G: topo.Hypercube(n)}
-	liar := dimNet{g, n - 2}
+	liar := cubeNet{g, maxStreamBits>>n + 1}
+	if _, ok := slottedFor(liar, liar.Order()); ok {
+		t.Fatalf("slot universe of %d accepted beyond the %d cap", liar.NumEdgeSlots(), maxStreamBits)
+	}
 	mustMatchSerial(t, liar, 1, binomialSchedule(n))
 }
 
@@ -197,9 +209,9 @@ func TestValidateStreamSourceOutOfRange(t *testing.T) {
 func TestValidateStreamOptsGeneralisedCapacities(t *testing.T) {
 	// Two calls over the same edge and onto the same receiver: illegal
 	// under Definition 1, legal with capacity 2. The capacity-2 model
-	// skips the bit-set engine (capacity-1 only) and lands on the CSR
-	// engine's per-slot counters — or on the map engine for the wrapped
-	// net; crosscheck every engine against serial ValidateOpts.
+	// skips the slotted engine (capacity-1 only) and lands on the map
+	// engine whatever the wrapper; crosscheck each against serial
+	// ValidateOpts, and Definition 1 on every engine.
 	s := &Schedule{Source: 0, Rounds: []Round{
 		{{Path: []uint64{0, 1}}},
 		{{Path: []uint64{0, 1, 3}}, {Path: []uint64{1, 3}}},

@@ -119,6 +119,17 @@ func (c *Cube) Degree(u uint64) int { return c.inner.DegreeOf(u) }
 // HasEdge reports whether {u, v} is an edge.
 func (c *Cube) HasEdge(u, v uint64) bool { return c.inner.HasEdge(u, v) }
 
+// NumEdgeSlots returns the size of the cube's edge-slot universe, order*n.
+func (c *Cube) NumEdgeSlots() int { return c.inner.NumEdgeSlots() }
+
+// EdgeSlot returns the closed-form slot min(u, v)*n + (dim-1) of edge
+// {u, v}; ok is false exactly when HasEdge is. With NumEdgeSlots it
+// makes a Cube a linecomm.SlottedNetwork, so the streaming validators
+// run a Cube on their flat slotted engine, as they do the inner cube.
+func (c *Cube) EdgeSlot(u, v uint64) (int, bool) { return c.inner.EdgeSlot(u, v) }
+
+var _ linecomm.SlottedNetwork = (*Cube)(nil)
+
 // Neighbors returns the sorted adjacency of u.
 func (c *Cube) Neighbors(u uint64) []uint64 { return c.inner.Neighbors(u) }
 
